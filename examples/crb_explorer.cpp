@@ -75,7 +75,7 @@ main(int argc, char **argv)
             const auto &r = results[next++];
             srow.push_back(Table::fmt(r.speedup(), 3));
             hrow.push_back(Table::pct(
-                r.report.derived.at("crbHitRate").asDouble(), 0));
+                r.report.derived.at("schemeHitRate").asDouble(), 0));
         }
         speedups.addRow(srow);
         hits.addRow(hrow);

@@ -103,14 +103,14 @@ evalAlu(ir::Opcode op, ir::Value a, ir::Value b)
 
 Machine::Machine(const ir::Module &mod)
     : mod_(mod), layout_(mod), prog_(mod, layout_),
-      cInsts_(stats_.counter("insts")),
-      cLoads_(stats_.counter("loads")),
-      cStores_(stats_.counter("stores")),
-      cBranches_(stats_.counter("branches")),
-      cCalls_(stats_.counter("calls")),
-      cReuseHits_(stats_.counter("reuseHits")),
-      cReuseMisses_(stats_.counter("reuseMisses")),
-      cInvalidates_(stats_.counter("invalidates"))
+      cInsts_(metrics_.counter("insts")),
+      cLoads_(metrics_.counter("loads")),
+      cStores_(metrics_.counter("stores")),
+      cBranches_(metrics_.counter("branches")),
+      cCalls_(metrics_.counter("calls")),
+      cReuseHits_(metrics_.counter("reuseHits")),
+      cReuseMisses_(metrics_.counter("reuseMisses")),
+      cInvalidates_(metrics_.counter("invalidates"))
 {
     layoutGlobals();
     restart();
@@ -160,7 +160,7 @@ Machine::reset()
     mem_ = Memory();
     layoutGlobals();
     restart();
-    stats_.reset();
+    metrics_.reset();
 }
 
 ir::Value

@@ -22,8 +22,8 @@
 #include "emu/decode.hh"
 #include "emu/memory.hh"
 #include "ir/module.hh"
+#include "obs/metrics.hh"
 #include "support/smallvec.hh"
-#include "support/stats.hh"
 
 namespace ccr::emu
 {
@@ -252,7 +252,10 @@ class Machine
     const ir::Module &module() const { return mod_; }
     const CodeLayout &layout() const { return layout_; }
 
-    StatGroup &stats() { return stats_; }
+    /** Event counters: "insts", "loads", "stores", "branches",
+     *  "calls", "reuseHits", "reuseMisses", "invalidates". */
+    obs::MetricRegistry &metrics() { return metrics_; }
+    const obs::MetricRegistry &metrics() const { return metrics_; }
 
   private:
     struct Frame
@@ -288,10 +291,10 @@ class Machine
      *  loop tests only this. */
     bool hooked_ = false;
 
-    StatGroup stats_{"machine"};
+    obs::MetricRegistry metrics_;
 
     // Hot-path counters cached out of the by-name map (references
-    // stay valid across StatGroup::reset()).
+    // stay valid across MetricRegistry::reset()).
     Counter &cInsts_;
     Counter &cLoads_;
     Counter &cStores_;

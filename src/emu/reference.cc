@@ -131,14 +131,14 @@ ReferenceMachine::step(ExecInfo &info)
         info.result = mem_.read(info.memAddr, inst.size,
                                 inst.unsignedLoad);
         frame.regs[inst.dst] = info.result;
-        ++stats_.counter("loads");
+        ++metrics_.counter("loads");
         break;
       }
       case Opcode::Store: {
         info.memAddr = static_cast<Addr>(info.srcVals[0])
                        + static_cast<Addr>(inst.imm);
         mem_.write(info.memAddr, inst.size, info.srcVals[1]);
-        ++stats_.counter("stores");
+        ++metrics_.counter("stores");
         break;
       }
       case Opcode::Alloc: {
@@ -155,7 +155,7 @@ ReferenceMachine::step(ExecInfo &info)
         frame.block = info.taken ? inst.target : inst.target2;
         frame.idx = 0;
         advance = false;
-        ++stats_.counter("branches");
+        ++metrics_.counter("branches");
         break;
       }
       case Opcode::Jump:
@@ -180,7 +180,7 @@ ReferenceMachine::step(ExecInfo &info)
                 frame.regs[inst.args[i]];
         frames_.push_back(std::move(next));
         advance = false;
-        ++stats_.counter("calls");
+        ++metrics_.counter("calls");
         break;
       }
       case Opcode::Ret: {
@@ -212,10 +212,10 @@ ReferenceMachine::step(ExecInfo &info)
         frame.idx = 0;
         kind = StepKind::ReuseMiss;
         advance = false;
-        ++stats_.counter("reuseMisses");
+        ++metrics_.counter("reuseMisses");
         break;
       case Opcode::Invalidate:
-        ++stats_.counter("invalidates");
+        ++metrics_.counter("invalidates");
         break;
       default:
         // Binary ALU / compare.
@@ -234,7 +234,7 @@ ReferenceMachine::step(ExecInfo &info)
         ++frame.idx;
 
     ++instCount_;
-    ++stats_.counter("insts");
+    ++metrics_.counter("insts");
 
     if (halted_) {
         info.nextPc = 0;

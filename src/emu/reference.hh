@@ -24,7 +24,7 @@
 #include "emu/machine.hh"
 #include "emu/memory.hh"
 #include "ir/module.hh"
-#include "support/stats.hh"
+#include "obs/metrics.hh"
 
 namespace ccr::emu
 {
@@ -48,7 +48,9 @@ class ReferenceMachine
 
     Addr globalAddr(ir::GlobalId g) const { return globalAddr_[g]; }
 
-    StatGroup &stats() { return stats_; }
+    /** The same event counters as Machine::metrics(). */
+    obs::MetricRegistry &metrics() { return metrics_; }
+    const obs::MetricRegistry &metrics() const { return metrics_; }
 
   private:
     struct Frame
@@ -71,7 +73,7 @@ class ReferenceMachine
     bool halted_ = false;
     std::uint64_t instCount_ = 0;
 
-    StatGroup stats_{"machine"};
+    obs::MetricRegistry metrics_;
 
     static constexpr Addr kGlobalBase = 0x10000;
     static constexpr Addr kHeapBase = 0x10000000;

@@ -212,8 +212,8 @@ diffTestSource(const std::string &lc_source, const std::string &display,
             r.failure = "CRB counter algebra: hits + misses != queries";
             return r;
         }
-        if (machine.stats().get("reuseHits") != r.crbHits
-            || machine.stats().get("reuseMisses") != misses) {
+        if (machine.metrics().get("reuseHits") != r.crbHits
+            || machine.metrics().get("reuseMisses") != misses) {
             r.failure = "machine and CRB disagree on reuse event counts";
             return r;
         }

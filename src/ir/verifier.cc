@@ -168,15 +168,6 @@ verifyModule(const Module &mod)
     return diags;
 }
 
-std::vector<std::string>
-verify(const Module &mod)
-{
-    std::vector<std::string> errors;
-    for (const auto &d : verifyModule(mod))
-        errors.push_back(d.message);
-    return errors;
-}
-
 void
 verifyOrDie(const Module &mod)
 {

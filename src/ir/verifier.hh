@@ -2,14 +2,12 @@
  * @file
  * Structural IR verifier. Run after construction and after every
  * transformation pass; returns structured diagnostics (severity +
- * stable "ir.*" rule id + message). A thin string shim (`verify`) is
- * kept for one release for callers that only want the message text.
+ * stable "ir.*" rule id + message).
  */
 
 #ifndef CCR_IR_VERIFIER_HH
 #define CCR_IR_VERIFIER_HH
 
-#include <string>
 #include <vector>
 
 #include "ir/diagnostic.hh"
@@ -24,12 +22,6 @@ void verifyFunction(const Module &mod, const Function &func,
 
 /** Verify the whole module. Returns the diagnostics (empty = OK). */
 std::vector<Diagnostic> verifyModule(const Module &mod);
-
-/**
- * Deprecated string shim: the diagnostics of verifyModule() flattened
- * to their message text. Prefer verifyModule().
- */
-std::vector<std::string> verify(const Module &mod);
 
 /** Verify and ccr_fatal() with the first message on failure. */
 void verifyOrDie(const Module &mod);

@@ -49,6 +49,9 @@ class MetricRegistry
     MetricRegistry() = default;
     MetricRegistry(const MetricRegistry &) = delete;
     MetricRegistry &operator=(const MetricRegistry &) = delete;
+    /** Moving keeps every returned reference valid: the metrics
+     *  themselves are not relocated. */
+    MetricRegistry(MetricRegistry &&) = default;
 
     /** Find-or-create. A name registered as one kind must not be
      *  re-registered as another. */

@@ -191,14 +191,16 @@ Server::stop()
         return;
     stopping_.store(true);
 
-    // Unblock the acceptor.
-    if (listenFd_ >= 0) {
+    // Unblock the acceptor, and close the socket only once it has
+    // returned: it reads listenFd_ until then.
+    if (listenFd_ >= 0)
         ::shutdown(listenFd_, SHUT_RDWR);
+    if (acceptor_.joinable())
+        acceptor_.join();
+    if (listenFd_ >= 0) {
         ::close(listenFd_);
         listenFd_ = -1;
     }
-    if (acceptor_.joinable())
-        acceptor_.join();
 
     // Wake the dispatchers; they fail any queued jobs and exit.
     for (auto &shard : shards_) {

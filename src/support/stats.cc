@@ -43,31 +43,4 @@ Histogram::reset()
     weightedSum_ = 0.0;
 }
 
-Counter &
-StatGroup::counter(const std::string &name)
-{
-    return counters_[name];
-}
-
-std::uint64_t
-StatGroup::get(const std::string &name) const
-{
-    const auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second.value();
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    for (const auto &[name, c] : counters_)
-        os << name_ << "." << name << " " << c.value() << "\n";
-}
-
-void
-StatGroup::reset()
-{
-    for (auto &[name, c] : counters_)
-        c.reset();
-}
-
 } // namespace ccr

@@ -1,17 +1,14 @@
 /**
  * @file
- * Lightweight statistics package: named scalar counters, ratios, and
- * histograms, grouped per simulation component and dumpable as text.
- * Modeled loosely on gem5's Stats package but intentionally minimal.
+ * Statistic primitives: a scalar counter and a fixed-bucket histogram.
+ * Components name and group them through obs::MetricRegistry.
  */
 
 #ifndef CCR_SUPPORT_STATS_HH
 #define CCR_SUPPORT_STATS_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
 #include <vector>
 
 namespace ccr
@@ -59,35 +56,6 @@ class Histogram
     std::uint64_t underflow_ = 0;
     std::uint64_t samples_ = 0;
     double weightedSum_ = 0.0;
-};
-
-/**
- * A named group of counters. Components register counters by name and the
- * harness dumps all groups at end of simulation.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    /** Find-or-create the counter called @p name within the group. */
-    Counter &counter(const std::string &name);
-
-    /** Read a counter's value; zero when absent. */
-    std::uint64_t get(const std::string &name) const;
-
-    const std::string &name() const { return name_; }
-    const std::map<std::string, Counter> &counters() const
-    {
-        return counters_;
-    }
-
-    void dump(std::ostream &os) const;
-    void reset();
-
-  private:
-    std::string name_;
-    std::map<std::string, Counter> counters_;
 };
 
 } // namespace ccr

@@ -8,7 +8,7 @@
  * parsing synchronizes at the next line so one bad statement yields
  * one diagnostic, not a cascade.
  *
- * Round-trip guarantee: for any module `m` that passes ir::verify,
+ * Round-trip guarantee: for any module `m` that passes ir::verifyModule,
  * `print(parse(print(m))) == print(m)` byte-for-byte.
  */
 

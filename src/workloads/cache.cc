@@ -95,6 +95,17 @@ lookupOrBuild(std::shared_mutex &mu, Map &map, const std::string &key,
     return fut.get();
 }
 
+/** Fill @p data's counter snapshots from a just-finished base
+ *  pipeline's registry. */
+void
+snapshotBaseCounters(BaseRunData &data, const uarch::Pipeline &pipe)
+{
+    const obs::MetricRegistry &m = pipe.metrics();
+    data.icacheMisses = m.get("icache.misses");
+    data.dcacheMisses = m.get("dcache.misses");
+    data.branchMispredicts = m.get("pipe.branchMispredicts");
+}
+
 } // namespace
 
 std::shared_ptr<const Workload>

@@ -20,6 +20,11 @@
  *     result is independent of the CRB geometry and reuse policy
  *     being swept.
  *
+ * Every experiment runs these stages through a cache: the driver and
+ * the benches share one across points, and runCcrExperiment without
+ * a cache builds a call-local one, so there is a single
+ * implementation of the build, verify, profile and base-run stages.
+ *
  * All entries are computed single-flight: concurrent requests for the
  * same key block on one computation instead of duplicating it. The
  * maps are guarded by std::shared_mutex; the values themselves are
@@ -65,12 +70,6 @@ struct BaseRunData
      *  decides whether that is fatal (RunConfig::budgetFatal). */
     bool completed = true;
 };
-
-/** Fill a BaseRunData's counter snapshots from a just-finished base
- *  pipeline's registry (defined in harness.cc; shared by the cache's
- *  builder and the uncached experiment flow). */
-void snapshotBaseCounters(BaseRunData &data,
-                          const uarch::Pipeline &pipe);
 
 class ExperimentCache
 {

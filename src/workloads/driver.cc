@@ -36,10 +36,7 @@ runPlan(const RunPlan &plan, const DriverOptions &options,
         const PointCallback &on_point)
 {
     ExperimentCache *cache =
-        options.useCache
-            ? (options.cache ? options.cache
-                             : &ExperimentCache::global())
-            : nullptr;
+        options.cache ? options.cache : &ExperimentCache::global();
 
     std::vector<RunResult> results(plan.size());
     if (plan.empty())

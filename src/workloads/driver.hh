@@ -87,12 +87,11 @@ struct DriverOptions
     std::uint64_t seed = 0x5EED'0001ULL;
 
     /**
-     * Share module builds, profiles, and base runs across points.
-     * When null and useCache is true, the process-wide
-     * ExperimentCache::global() is used. Results do not depend on
-     * this setting — only wall-clock does.
+     * Shares module builds, profiles, and base runs across points.
+     * When null, the process-wide ExperimentCache::global() is used.
+     * Results do not depend on which cache serves them — only
+     * wall-clock does.
      */
-    bool useCache = true;
     ExperimentCache *cache = nullptr;
 
     /** Require every point's base and CCR outputs to match; a

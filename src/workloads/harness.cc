@@ -5,8 +5,6 @@
 #include <iostream>
 
 #include "analysis/alias.hh"
-#include "ir/verifier.hh"
-#include "opt/passes.hh"
 #include "profile/value_profiler.hh"
 #include "support/logging.hh"
 #include "workloads/cache.hh"
@@ -84,8 +82,8 @@ incompleteResult(RunResult result, const std::string &workload_name,
  * Assemble the RunReport from the run's registries. @p ccr_pipe
  * carries the timed CCR run's full registry (stall attribution,
  * caches, predictor); the base run contributes the counter snapshots
- * carried by @p base, which are identical whether or not the base
- * stage came from the experiment cache. @p scheme may be null
+ * carried by @p base (the cached base stage keeps no registry).
+ * @p scheme may be null
  * (SchemeKind::None): the report then carries no scheme counters.
  */
 void
@@ -156,13 +154,9 @@ buildRunReport(RunResult &result, const std::string &workload_name,
     report.derived["ccrIpc"] = obs::Json(result.ccr.ipc());
     report.derived["instsEliminated"] =
         obs::Json(result.instsEliminated());
-    const obs::Json hit_rate(
+    report.derived["schemeHitRate"] = obs::Json(
         obs::ratio(static_cast<double>(scheme_hits),
                    static_cast<double>(scheme_queries)));
-    // "crbHitRate" predates the scheme interface and is kept as an
-    // alias of "schemeHitRate" for one release.
-    report.derived["crbHitRate"] = hit_rate;
-    report.derived["schemeHitRate"] = hit_rate;
     report.derived["outputsMatch"] = obs::Json(result.outputsMatch);
 
     // Per-region attribution, sorted by region id for determinism.
@@ -231,15 +225,6 @@ maybeLintFormedRegions(const ir::Module &mod,
 }
 
 } // namespace
-
-void
-snapshotBaseCounters(BaseRunData &data, const uarch::Pipeline &pipe)
-{
-    const obs::MetricRegistry &m = pipe.metrics();
-    data.icacheMisses = m.get("icache.misses");
-    data.dcacheMisses = m.get("dcache.misses");
-    data.branchMispredicts = m.get("pipe.branchMispredicts");
-}
 
 profile::ProfileData
 profileWorkload(const Workload &workload, InputSet set,
@@ -324,31 +309,18 @@ RunResult
 runCcrExperiment(const std::string &workload_name,
                  const RunConfig &config, ExperimentCache *cache)
 {
+    if (cache == nullptr) {
+        ExperimentCache local;
+        return runCcrExperiment(workload_name, config, &local);
+    }
+
     RunResult result;
 
     // -- Base machine: untransformed code, no CRB ----------------------
-    std::shared_ptr<const BaseRunData> base_data;
-    if (cache) {
-        base_data = cache->baseRun(workload_name, config.optimizeBase,
-                                   config.measureInput, config.pipe,
-                                   config.maxInsts);
-    } else {
-        const Workload base = buildWorkload(workload_name);
-        if (config.optimizeBase) {
-            opt::runStandardPipeline(*base.module);
-        }
-        ir::verifyOrDie(*base.module);
-        emu::Machine machine(*base.module);
-        base.prepare(machine, config.measureInput);
-        uarch::Pipeline pipe(config.pipe);
-        auto data = std::make_shared<BaseRunData>();
-        data->timing = pipe.run(machine, config.maxInsts);
-        data->completed = machine.halted();
-        snapshotBaseCounters(*data, pipe);
-        if (data->completed)
-            data->outputs = readOutputs(machine, base);
-        base_data = std::move(data);
-    }
+    const std::shared_ptr<const BaseRunData> base_data =
+        cache->baseRun(workload_name, config.optimizeBase,
+                       config.measureInput, config.pipe,
+                       config.maxInsts);
     result.base = base_data->timing;
     if (!base_data->completed)
         return incompleteResult(std::move(result), workload_name,
@@ -356,14 +328,7 @@ runCcrExperiment(const std::string &workload_name,
 
     // -- CCR machine: profile, form regions, run with the scheme -------
     {
-        Workload ccr = cache
-                           ? cache->workload(workload_name,
-                                             config.optimizeBase)
-                           : buildWorkload(workload_name);
-        if (!cache && config.optimizeBase) {
-            opt::runStandardPipeline(*ccr.module);
-            ir::verifyOrDie(*ccr.module);
-        }
+        Workload ccr = cache->workload(workload_name, config.optimizeBase);
 
         std::unique_ptr<reuse::ReuseScheme> scheme =
             reuse::makeScheme(reuse::SchemeConfig{
@@ -374,27 +339,11 @@ runCcrExperiment(const std::string &workload_name,
         // and the timed run below is cycle-identical to the base
         // machine.
         if (scheme != nullptr) {
-            // Training pass (RPS). Cached profiles come from a sibling
-            // clone of the same module template; instruction uids
-            // agree.
-            std::shared_ptr<const profile::ProfileData> cached_prof;
-            profile::ProfileData local_prof;
-            const profile::ProfileData *prof;
-            if (cache) {
-                cached_prof =
-                    cache->profile(workload_name, config.optimizeBase,
-                                   config.profileInput, config.maxInsts);
-                prof = cached_prof.get();
-            } else {
-                emu::Machine machine(*ccr.module);
-                ccr.prepare(machine, config.profileInput);
-                profile::ValueProfiler profiler(machine);
-                machine.addObserver(&profiler);
-                machine.run(config.maxInsts);
-                local_prof = profiler.takeProfile();
-                local_prof.completed = machine.halted();
-                prof = &local_prof;
-            }
+            // Training pass (RPS), taken on a sibling clone of the
+            // same module template; instruction uids agree.
+            const std::shared_ptr<const profile::ProfileData> prof =
+                cache->profile(workload_name, config.optimizeBase,
+                               config.profileInput, config.maxInsts);
             if (!prof->completed)
                 return incompleteResult(std::move(result),
                                         workload_name, config,

@@ -137,22 +137,23 @@ struct RunResult
 
 class ExperimentCache;
 
-/** Run the full CCR experiment for one workload. */
-RunResult runCcrExperiment(const std::string &workload_name,
-                           const RunConfig &config);
-
 /**
- * Cache-aware variant: the module build (+ optional classic
- * optimization), the RPS training profile, and the base-machine timed
- * run are fetched from @p cache, so repeated runs of the same
- * workload under different CRB geometries or reuse policies pay those
- * stages once. Results are bit-identical to the uncached flow — every
- * cached stage is a deterministic function of its key. A null
- * @p cache falls back to the uncached flow.
+ * Run the full CCR experiment for one workload. The module build
+ * (+ optional classic optimization and verification), the RPS training
+ * profile, and the base-machine timed run come from @p cache, so
+ * repeated runs of the same workload under different CRB geometries or
+ * reuse policies pay those stages once. Every cached stage is a
+ * deterministic function of its key, so the result does not depend on
+ * what the cache already holds. A null @p cache runs on a fresh
+ * ExperimentCache local to the call.
  */
 RunResult runCcrExperiment(const std::string &workload_name,
                            const RunConfig &config,
                            ExperimentCache *cache);
+
+/** runCcrExperiment on a fresh, call-local ExperimentCache. */
+RunResult runCcrExperiment(const std::string &workload_name,
+                           const RunConfig &config);
 
 /** Result of lintWorkload(): the formed regions plus the static
  *  audit and (optionally) the dynamic replay cross-check. */

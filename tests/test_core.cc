@@ -232,7 +232,7 @@ TEST(Former, FormsAcyclicRegionsOnEspresso)
     }
     EXPECT_TRUE(found_sl);
     EXPECT_TRUE(found_count_ones);
-    EXPECT_TRUE(verify(*fx.w.module).empty());
+    EXPECT_TRUE(verifyModule(*fx.w.module).empty());
 }
 
 TEST(Former, FormsCyclicRegionOnM88ksim)
@@ -251,7 +251,7 @@ TEST(Former, FormsCyclicRegionOnM88ksim)
     EXPECT_TRUE(found_md_cyclic);
     // The mutators store into brktable: invalidations must be placed.
     EXPECT_GE(former.stats().invalidationsPlaced, 1);
-    EXPECT_TRUE(verify(*fx.w.module).empty());
+    EXPECT_TRUE(verifyModule(*fx.w.module).empty());
 }
 
 TEST(Former, TransformedModuleStillComputesSameOutputs)

@@ -126,6 +126,28 @@ struct AluCase
     std::int64_t expect;
 };
 
+/** Operand spelling for test names: INT64_MAX/INT64_MIN by name,
+ *  negatives with an "m" prefix (so "-7" reads "m7"). */
+std::string
+operandName(std::int64_t v)
+{
+    if (v == INT64_MAX)
+        return "INT64_MAX";
+    if (v == INT64_MIN)
+        return "INT64_MIN";
+    return v < 0 ? "m" + std::to_string(-v) : std::to_string(v);
+}
+
+/** Names each case after its opcode and operands ("add_INT64_MAX_1")
+ *  instead of gtest's byte dump, which includes the struct's
+ *  uninitialised padding and so changes from build to build. */
+void
+PrintTo(const AluCase &c, std::ostream *os)
+{
+    *os << opcodeName(c.op) << "_" << operandName(c.a) << "_"
+        << operandName(c.b);
+}
+
 class AluSemantics : public ::testing::TestWithParam<AluCase>
 {};
 
@@ -371,7 +393,7 @@ TEST(Machine, InstCountAndStats)
     emu::Machine machine(m);
     machine.run();
     EXPECT_EQ(machine.instCount(), 3u);
-    EXPECT_EQ(machine.stats().get("insts"), 3u);
+    EXPECT_EQ(machine.metrics().get("insts"), 3u);
 }
 
 TEST(Machine, RunBudgetStopsEarly)
@@ -492,7 +514,7 @@ TEST(Machine, ReuseHitSkipsBody)
     EXPECT_EQ(machine.memory().read(machine.globalAddr(out),
                                     MemSize::Dword, false),
               1);
-    EXPECT_EQ(machine.stats().get("reuseMisses"), 1u);
+    EXPECT_EQ(machine.metrics().get("reuseMisses"), 1u);
 
     // With an always-hit handler: body is skipped, outputs injected.
     emu::Machine machine2(m);
@@ -505,7 +527,7 @@ TEST(Machine, ReuseHitSkipsBody)
     EXPECT_EQ(machine2.memory().read(machine2.globalAddr(out),
                                      MemSize::Dword, false),
               99);
-    EXPECT_EQ(machine2.stats().get("reuseHits"), 1u);
+    EXPECT_EQ(machine2.metrics().get("reuseHits"), 1u);
 }
 
 TEST(CodeLayout, DistinctAddresses)
@@ -685,7 +707,7 @@ TEST(DecodedEngine, LockstepWithReferenceInterpreter)
     for (const auto *key :
          {"insts", "loads", "stores", "branches", "calls",
           "reuseMisses"}) {
-        EXPECT_EQ(machine.stats().get(key), ref.stats().get(key))
+        EXPECT_EQ(machine.metrics().get(key), ref.metrics().get(key))
             << key;
     }
 }

@@ -66,7 +66,7 @@ TEST(HeapScan, KernelsAreAnonymousToTheCompiler)
     b.call(m.findFunction("tab_scan")->id(), {x}, b2);
     b.setInsertPoint(b2);
     b.halt();
-    EXPECT_TRUE(verify(m).empty());
+    EXPECT_TRUE(verifyModule(m).empty());
 
     analysis::AliasAnalysis alias(m);
     // scan loads through a loaded pointer: not pure, not determinable.
@@ -117,7 +117,7 @@ TEST(Dispatch, LeavesAreDistinctAndDeterministic)
     b.store(obase, 8, r2);
     b.store(obase, 16, r3);
     b.halt();
-    EXPECT_TRUE(verify(m).empty());
+    EXPECT_TRUE(verifyModule(m).empty());
 
     emu::Machine machine(m);
     machine.run(100000);

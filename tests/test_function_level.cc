@@ -186,7 +186,7 @@ TEST(FnLevel, FormsRegionsForPureCallSites)
     // poke stores into the table: invalidations must cover the
     // table_sum region.
     EXPECT_GE(former.stats().invalidationsPlaced, 1);
-    EXPECT_TRUE(verify(fx.m).empty());
+    EXPECT_TRUE(verifyModule(fx.m).empty());
 }
 
 TEST(FnLevel, SemanticsPreservedWithAndWithoutCrb)

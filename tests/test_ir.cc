@@ -143,7 +143,7 @@ TEST(Builder, SimpleFunction)
     EXPECT_EQ(f.numBlocks(), 1u);
     EXPECT_EQ(f.block(entry).size(), 3u);
     EXPECT_TRUE(f.block(entry).isTerminated());
-    EXPECT_TRUE(verify(m).empty());
+    EXPECT_TRUE(verifyModule(m).empty());
 }
 
 TEST(Builder, AssignsUniqueUids)
@@ -241,7 +241,7 @@ TEST(Verifier, CleanModulePasses)
     IRBuilder b(f);
     b.setInsertPoint(b.newBlock());
     b.halt();
-    EXPECT_TRUE(verify(m).empty());
+    EXPECT_TRUE(verifyModule(m).empty());
 }
 
 TEST(Verifier, CatchesUnterminatedBlock)
@@ -251,7 +251,7 @@ TEST(Verifier, CatchesUnterminatedBlock)
     IRBuilder b(f);
     b.setInsertPoint(b.newBlock());
     b.movI(1);
-    EXPECT_FALSE(verify(m).empty());
+    EXPECT_FALSE(verifyModule(m).empty());
 }
 
 TEST(Verifier, CatchesBadBranchTarget)
@@ -264,7 +264,7 @@ TEST(Verifier, CatchesBadBranchTarget)
     j.target = 99;
     j.uid = f.newUid();
     f.block(0).insts().push_back(j);
-    EXPECT_FALSE(verify(m).empty());
+    EXPECT_FALSE(verifyModule(m).empty());
 }
 
 TEST(Verifier, CatchesBadRegister)
@@ -283,7 +283,7 @@ TEST(Verifier, CatchesBadRegister)
     h.op = Opcode::Halt;
     h.uid = f.newUid();
     f.block(0).insts().push_back(h);
-    EXPECT_FALSE(verify(m).empty());
+    EXPECT_FALSE(verifyModule(m).empty());
 }
 
 TEST(Verifier, CatchesCallArityMismatch)
@@ -302,8 +302,8 @@ TEST(Verifier, CatchesCallArityMismatch)
     b.halt();
     // callee itself has no blocks, also an error; look for arity msg.
     bool found = false;
-    for (const auto &e : verify(m))
-        found |= e.find("argument count") != std::string::npos;
+    for (const auto &d : verifyModule(m))
+        found |= d.message.find("argument count") != std::string::npos;
     EXPECT_TRUE(found);
 }
 
@@ -320,7 +320,7 @@ TEST(Verifier, CatchesMidBlockControl)
     n.op = Opcode::Nop;
     n.uid = f.newUid();
     f.block(0).insts().push_back(n);
-    EXPECT_FALSE(verify(m).empty());
+    EXPECT_FALSE(verifyModule(m).empty());
 }
 
 TEST(Verifier, CatchesBadExtensions)
@@ -337,7 +337,7 @@ TEST(Verifier, CatchesBadExtensions)
     }());
     (void)mi;
     b.halt();
-    EXPECT_FALSE(verify(m).empty());
+    EXPECT_FALSE(verifyModule(m).empty());
 }
 
 TEST(Verifier, CatchesLiveOutWithoutDst)
@@ -351,7 +351,7 @@ TEST(Verifier, CatchesLiveOutWithoutDst)
     i.ext.liveOut = true;
     b.emit(i);
     b.halt();
-    EXPECT_FALSE(verify(m).empty());
+    EXPECT_FALSE(verifyModule(m).empty());
 }
 
 TEST(Printer, ContainsStructure)

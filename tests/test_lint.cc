@@ -145,21 +145,6 @@ TEST(Diagnostic, CountErrorsIgnoresWarnsAndNotes)
     EXPECT_FALSE(ir::hasErrors(diags));
 }
 
-TEST(VerifierShim, StringShimMatchesStructuredMessages)
-{
-    ir::Module mod("empty");
-    const auto diags = ir::verifyModule(mod);
-    const auto strings = ir::verify(mod);
-    ASSERT_EQ(diags.size(), strings.size());
-    ASSERT_FALSE(diags.empty());
-    for (std::size_t i = 0; i < diags.size(); ++i) {
-        EXPECT_EQ(diags[i].message, strings[i]);
-        EXPECT_EQ(diags[i].severity, ir::Severity::Error);
-        EXPECT_FALSE(diags[i].rule.empty());
-    }
-    EXPECT_EQ(diags.front().rule, "ir.module.no-functions");
-}
-
 // ----- parser diagnostics (satellite: unknown directive keys) -------
 
 TEST(ParserPragma, UnknownDirectiveKeyWarns)

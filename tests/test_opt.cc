@@ -204,7 +204,7 @@ TEST(Simplify, EqualTargetBranchBecomesJump)
     // The branch becomes a jump, then block merging folds b1 into b0,
     // so b0 now ends in b1's halt.
     EXPECT_EQ(f.block(b0).terminator().op, Opcode::Halt);
-    EXPECT_TRUE(verify(m).empty());
+    EXPECT_TRUE(verifyModule(m).empty());
 }
 
 TEST(Simplify, ConstantConditionResolved)
@@ -301,7 +301,7 @@ TEST(Inline, LeafFunctionInlined)
         b.halt();
     }
     EXPECT_EQ(opt::inlineFunctions(m), 1);
-    EXPECT_TRUE(verify(m).empty());
+    EXPECT_TRUE(verifyModule(m).empty());
     // main no longer calls.
     for (const auto &bb : f.blocks()) {
         for (const auto &inst : bb.insts())
@@ -368,7 +368,7 @@ TEST(Unroll, DoublesLoopBody)
     const std::size_t blocks_before = f.numBlocks();
     EXPECT_EQ(opt::unrollLoops(f), 1);
     EXPECT_GT(f.numBlocks(), blocks_before);
-    EXPECT_TRUE(verify(m).empty());
+    EXPECT_TRUE(verifyModule(m).empty());
     EXPECT_EQ(runOut(m), 36 * 37 / 2);
 }
 
@@ -385,7 +385,7 @@ TEST(Pipeline, WholeSuiteSemanticsPreserved)
 
         auto optimized = workloads::buildWorkload(name);
         const auto stats = opt::runStandardPipeline(*optimized.module);
-        EXPECT_TRUE(verify(*optimized.module).empty()) << name;
+        EXPECT_TRUE(verifyModule(*optimized.module).empty()) << name;
         emu::Machine om(*optimized.module);
         optimized.prepare(om, workloads::InputSet::Train);
         om.run();

@@ -144,12 +144,14 @@ TEST(ParallelDriver, CachedMatchesUncached)
     ExperimentCache cache;
     cached.cache = &cache;
 
-    DriverOptions uncached;
-    uncached.jobs = 1;
-    uncached.useCache = false;
+    // One call-local cache per point: nothing is shared between the
+    // plain and the optimized module.
+    std::vector<RunResult> uncached;
+    for (const auto &point : plan.points())
+        uncached.push_back(runCcrExperiment(point.workload, point.config));
 
     EXPECT_EQ(fingerprints(runPlan(plan, cached)),
-              fingerprints(runPlan(plan, uncached)));
+              fingerprints(uncached));
 }
 
 TEST(ParallelDriver, RepeatedRunsAreStable)

@@ -28,6 +28,18 @@
 #include "workloads/harness.hh"
 #include "support/random.hh"
 
+namespace ccr::reuse
+{
+
+/** Print the scheme by name in test names, not as a byte dump. */
+void
+PrintTo(SchemeKind kind, std::ostream *os)
+{
+    *os << schemeKindName(kind);
+}
+
+} // namespace ccr::reuse
+
 namespace
 {
 
@@ -161,7 +173,7 @@ class RandomPrograms : public ::testing::TestWithParam<std::uint64_t>
 TEST_P(RandomPrograms, GeneratedModuleVerifies)
 {
     Module m = randomModule(GetParam(), 6, 12);
-    EXPECT_TRUE(verify(m).empty());
+    EXPECT_TRUE(verifyModule(m).empty());
 }
 
 TEST_P(RandomPrograms, OptimizerPreservesOutput)
@@ -171,7 +183,7 @@ TEST_P(RandomPrograms, OptimizerPreservesOutput)
 
     Module optimized = randomModule(GetParam(), 6, 12);
     opt::runStandardPipeline(optimized);
-    EXPECT_TRUE(verify(optimized).empty());
+    EXPECT_TRUE(verifyModule(optimized).empty());
     EXPECT_EQ(runOut(optimized), expect);
 }
 
@@ -189,7 +201,7 @@ TEST_P(RandomPrograms, ReorderPreservesOutput)
             return !inst.isControlInst() && (inst.uid % 3) != 0;
         });
     }
-    EXPECT_TRUE(verify(shuffled).empty());
+    EXPECT_TRUE(verifyModule(shuffled).empty());
     EXPECT_EQ(runOut(shuffled), expect);
 }
 
@@ -202,7 +214,7 @@ TEST_P(RandomPrograms, ConstFoldPreservesOutput)
     Function &f = *folded.findFunction("main");
     opt::foldConstants(f);
     opt::eliminateCommonSubexpressions(f);
-    EXPECT_TRUE(verify(folded).empty());
+    EXPECT_TRUE(verifyModule(folded).empty());
     EXPECT_EQ(runOut(folded), expect);
 }
 
@@ -783,7 +795,7 @@ TEST(LockstepEquivalence, EveryWorkloadMatchesReferenceInterpreter)
         for (const auto *key :
              {"insts", "loads", "stores", "branches", "calls",
               "reuseMisses", "invalidates"}) {
-            EXPECT_EQ(machine.stats().get(key), ref.stats().get(key))
+            EXPECT_EQ(machine.metrics().get(key), ref.metrics().get(key))
                 << key;
         }
     }
@@ -866,8 +878,8 @@ TEST_P(SchemeProperties, FormedWorkloadMatchesBaseUnderScheme)
     const auto hits = m.get(prefix + ".hits");
     const auto misses = m.get(prefix + ".misses");
     EXPECT_EQ(hits + misses, queries);
-    EXPECT_EQ(tm.stats().get("reuseHits"), hits);
-    EXPECT_EQ(tm.stats().get("reuseMisses"), misses);
+    EXPECT_EQ(tm.metrics().get("reuseHits"), hits);
+    EXPECT_EQ(tm.metrics().get("reuseMisses"), misses);
     std::uint64_t hitSum = 0, querySum = 0;
     for (const auto &[id, n] : scheme->hitsByRegion())
         hitSum += n;
@@ -1073,9 +1085,9 @@ runInvalidateHeavyProperty(reuse::SchemeKind kind,
     const auto misses = m.get(prefix + ".misses");
     EXPECT_GT(queries, 0u);
     EXPECT_EQ(hits + misses, queries);
-    EXPECT_EQ(tm.stats().get("reuseHits"), hits);
-    EXPECT_EQ(tm.stats().get("reuseMisses"), misses);
-    EXPECT_GT(tm.stats().get("invalidates"), 0u);
+    EXPECT_EQ(tm.metrics().get("reuseHits"), hits);
+    EXPECT_EQ(tm.metrics().get("reuseMisses"), misses);
+    EXPECT_GT(tm.metrics().get("invalidates"), 0u);
     EXPECT_EQ(scheme2->metrics().get(prefix + ".hits"), hits);
     EXPECT_EQ(scheme2->metrics().get(prefix + ".queries"), queries);
     if (expect_range_skips && kind == reuse::SchemeKind::Crb) {

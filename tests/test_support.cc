@@ -172,24 +172,6 @@ TEST(Stats, CounterBasics)
     EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(Stats, GroupFindOrCreate)
-{
-    StatGroup g("grp");
-    ++g.counter("a");
-    ++g.counter("a");
-    EXPECT_EQ(g.get("a"), 2u);
-    EXPECT_EQ(g.get("missing"), 0u);
-}
-
-TEST(Stats, GroupDumpFormat)
-{
-    StatGroup g("cpu");
-    g.counter("cycles") += 10;
-    std::ostringstream os;
-    g.dump(os);
-    EXPECT_EQ(os.str(), "cpu.cycles 10\n");
-}
-
 TEST(Stats, HistogramBuckets)
 {
     Histogram h(0, 100, 10);

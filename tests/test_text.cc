@@ -68,7 +68,7 @@ TEST(Parser, SmallModuleStructure)
     EXPECT_EQ(f.numRegs(), 6);
     EXPECT_EQ(f.numInsts(), 7u);
     EXPECT_EQ(m.entryFunction(), f.id());
-    EXPECT_TRUE(ir::verify(m).empty());
+    EXPECT_TRUE(ir::verifyModule(m).empty());
 }
 
 TEST(Parser, FixpointOnSmallModule)
@@ -219,7 +219,7 @@ TEST(Fixpoint, AllBuiltinWorkloads)
         ASSERT_TRUE(p.ok())
             << name << ":\n"
             << text::formatDiagnostics(p.errors, name);
-        EXPECT_TRUE(ir::verify(*p.module).empty()) << name;
+        EXPECT_TRUE(ir::verifyModule(*p.module).empty()) << name;
         EXPECT_EQ(ir::moduleToString(*p.module), once) << name;
     }
 }

@@ -30,7 +30,7 @@ class WorkloadSuite : public ::testing::TestWithParam<std::string>
 TEST_P(WorkloadSuite, ModuleVerifies)
 {
     const auto w = workloads::buildWorkload(GetParam());
-    EXPECT_TRUE(ir::verify(*w.module).empty());
+    EXPECT_TRUE(ir::verifyModule(*w.module).empty());
     EXPECT_FALSE(w.outputGlobals.empty());
 }
 
